@@ -222,8 +222,8 @@ func main() {
 		profFile.Close()
 	}
 	if *memprof != "" {
-		// Post-GC heap: what the benchmarks retain (pooled simulators, warm
-		// snapshots), not the transient garbage they churned.
+		// Post-GC heap: what the benchmarks retain (pooled simulators,
+		// checkpoint trees), not the transient garbage they churned.
 		runtime.GC()
 		f, err := os.Create(*memprof)
 		if err != nil {
@@ -595,7 +595,7 @@ func suite(scale float64) []bench {
 
 	// Many-repetition sweep of one configuration: the shape of every
 	// experiment table (N seeds per parameter point) and the workload the
-	// simulator pool and warmup-snapshot memo accelerate — each op re-runs
+	// simulator pool accelerates — each op re-runs
 	// the same machine `reps` times with derived seeds. Serial workers keep
 	// the measurement scheduling-independent.
 	sweepReps := scaled(24, scale)
@@ -796,10 +796,11 @@ func suite(scale float64) []bench {
 	// Full-hierarchy demand loads on the default machine: the single-
 	// domain no-TLB configuration every paper experiment uses, walking a
 	// Streamline-like stride (3 lines) that defeats the prefetchers. The
-	// walk is driven through the batch kernel in address chunks — the
-	// access and timestamp sequence is identical to the scalar twin below
-	// (each load issues at the previous load's issue time plus its full
-	// latency), so the two entries bracket the batching win.
+	// walk is driven through AccessBatch in address chunks, as the agents
+	// drive it; the access and timestamp sequence is identical to the
+	// scalar twin below (each load starts at the previous load's start
+	// time plus its full latency), so the two entries measure the batch
+	// cost model's bookkeeping against a hand-written loop.
 	hierN := scaled(500_000, scale)
 	const hierChunk = 256
 	hierWalk := func(region mem.Region, stride int, off int, buf []mem.Addr) int {
@@ -840,8 +841,8 @@ func suite(scale float64) []bench {
 		},
 	})
 
-	// The same walk through the scalar Access path, for the batch-vs-scalar
-	// bracket in the trajectory reports.
+	// The same walk through Access one load at a time, the reference the
+	// hier/stream entry is read against in the trajectory reports.
 	suite = append(suite, bench{
 		name:        "hier/stream-scalar",
 		accessPerOp: hierN,

@@ -45,7 +45,7 @@ func NewThrashReload(seed uint64) (*ThrashReload, error) {
 	pat := pattern.NewStreamline(env.h.Geometry())
 	thrashBits := pat.LapBits(buf.Size)
 	// Every lap walks the identical address sequence, so it is generated
-	// once here and replayed through the batch kernel per bit.
+	// once here and replayed through AccessBatch per bit.
 	lapAddrs := make([]mem.Addr, thrashBits)
 	pattern.FillAddrs(pat, lapAddrs, buf.Base, 0, buf.Size)
 	return &ThrashReload{

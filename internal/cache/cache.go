@@ -167,39 +167,6 @@ func (c *Cache) find(set, base int, l mem.Line) int {
 	return -1
 }
 
-// HintHit and OnHintHit are the batch kernel's hit short-circuit, split in
-// two so the check inlines into the batch loop (a failed check is pure
-// overhead for an access that goes on to the scalar path, so it must cost
-// one masked compare, not a function call).
-//
-// HintHit reports whether l is the line its set's last-hit-way hint points
-// at — the case Access serves without scanning — with no side effects.
-//
-//detlint:hotpath
-func (c *Cache) HintHit(l mem.Line) bool {
-	set := int(uint64(l) & c.setMask)
-	return c.tags[set*c.ways+int(c.mru[set])] == uint32(l)
-}
-
-// OnHintHit applies the hit bookkeeping Access would perform for a line
-// HintHit just reported present (hit count plus replacement touch). Calling
-// it without a true HintHit(l) corrupts the replacement state.
-//
-//detlint:hotpath
-func (c *Cache) OnHintHit(l mem.Line) {
-	set := int(uint64(l) & c.setMask)
-	w := int(c.mru[set])
-	c.Stats.Hits++
-	switch c.kind {
-	case polRRIP:
-		c.rrip.OnHit(set, w)
-	case polPLRU:
-		c.plru.OnHit(set, w)
-	default:
-		c.pol.OnHit(set, w)
-	}
-}
-
 // Probe reports whether l is present, with no side effects on replacement
 // state or statistics.
 //

@@ -2,8 +2,8 @@
 // lifecycle"): Reset reinitializes a component in place to exactly the state
 // a fresh construction with the same seed would produce, without allocating;
 // Clone produces a deep, independently evolving copy; CopyFrom overwrites a
-// same-shape component's state in place (the allocation-free restore the
-// warmup-snapshot cache uses). The field sets these methods cover are pinned
+// same-shape component's state in place (the allocation-free restore
+// checkpoint forks use). The field sets these methods cover are pinned
 // by the statetest audits in lifecycle_test.go.
 
 package cache

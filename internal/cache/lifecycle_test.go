@@ -156,8 +156,8 @@ func TestCacheCloneIndependence(t *testing.T) {
 	}
 }
 
-// TestCacheCopyFrom pins the in-place restore path the warmup-snapshot cache
-// uses: CopyFrom makes the destination behave identically to the source.
+// TestCacheCopyFrom pins the in-place restore path checkpoint forks use:
+// CopyFrom makes the destination behave identically to the source.
 func TestCacheCopyFrom(t *testing.T) {
 	for name, mk := range lifecyclePolicies() {
 		t.Run(name, func(t *testing.T) {

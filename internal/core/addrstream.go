@@ -6,14 +6,13 @@ import (
 )
 
 // addrChunk is how many upcoming bit addresses an agent generates per
-// pattern call. Big enough to amortize the call, small enough that the
-// buffer (2 KB) stays cache-resident next to the agent state.
+// refill. Big enough to amortize the refill, small enough that the buffer
+// (2 KB) stays cache-resident next to the agent state.
 const addrChunk = 256
 
 // addrStream is a chunk-buffered view of one agent's position in the
 // transmission pattern: at(i) returns the same address pat.Offset would,
-// but the pattern runs once per addrChunk bits (through the chunked
-// generator) instead of once per bit through the interface. Sender and
+// from a buffer pattern.FillAddrs refills once per addrChunk bits. Sender and
 // receiver each own one stream per independent index sequence (transmit,
 // trailing, receive), so the monotone per-stream indices make every refill
 // a full-buffer hit window.

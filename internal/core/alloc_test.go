@@ -62,9 +62,10 @@ func TestStepZeroAllocs(t *testing.T) {
 
 // TestPooledLifecycleZeroAllocs pins the simulator pool's steady state as
 // allocation-free: once a worker holds a hierarchy of the right shape,
-// resetting it (or restoring it from a warm snapshot and replaying the log
-// for a new seed) and pushing traffic through it must not touch the heap —
-// the whole point of leasing instead of rebuilding.
+// resetting it for a new seed (or restoring another same-shape hierarchy's
+// state into it, as every checkpoint fork does) and pushing traffic through
+// it must not touch the heap — the whole point of leasing instead of
+// rebuilding.
 func TestPooledLifecycleZeroAllocs(t *testing.T) {
 	m := DefaultConfig().Machine
 	h, err := hier.New(m, hier.Options{Seed: 1})
@@ -83,29 +84,20 @@ func TestPooledLifecycleZeroAllocs(t *testing.T) {
 		seed++
 		h.AccessBatch(0, buf, 0, hier.BatchClock{Hold: true})
 	}
-	resetAndRun() // settle batch-kernel internals
+	resetAndRun() // settle orphan and prefetch buffers
 	if avg := testing.AllocsPerRun(50, resetAndRun); avg != 0 {
 		t.Fatalf("reset-and-run costs %.2f allocations, want 0", avg)
 	}
 
-	// The snapshot-restore path: CopyFrom + ReplayWarmup, as a warmed pool
-	// checkout performs per repetition.
-	snapH, err := hier.New(m, hier.Options{Seed: 3})
+	// The fork-restore path: CopyFrom a warmed same-shape hierarchy, then
+	// run on.
+	src, err := hier.New(m, hier.Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapH.StartRecording()
-	snapH.AccessBatch(0, buf, 0, hier.BatchClock{Hold: true})
-	log := snapH.StopRecording()
-	if log.Aborted() {
-		t.Fatal("recording aborted on the default shape")
-	}
+	src.AccessBatch(0, buf, 0, hier.BatchClock{Hold: true})
 	restoreAndRun := func() {
-		h.CopyFrom(snapH)
-		if err := h.ReplayWarmup(seed, log); err != nil {
-			t.Fatal(err)
-		}
-		seed++
+		h.CopyFrom(src)
 		h.AccessBatch(0, buf, 0, hier.BatchClock{Hold: true})
 	}
 	restoreAndRun()

@@ -202,12 +202,9 @@ func Run(cfg Config, payloadBits []byte) (*Result, error) {
 		if w > cfg.ArraySize {
 			w = cfg.ArraySize
 		}
-		if lease.record {
-			h.StartRecording()
-		}
 		// Setup time is not simulated, so every warmup load issues at time
-		// zero (BatchClock.Hold); the batch kernel walks each chunk of lines
-		// in one call.
+		// zero (BatchClock.Hold); AccessBatch walks each chunk of lines in
+		// one call.
 		lineBytes := h.Geometry().LineBytes
 		buf := make([]mem.Addr, 0, addrChunk)
 		for off := 0; off < w; off += lineBytes {
@@ -217,15 +214,10 @@ func Run(cfg Config, payloadBits []byte) (*Result, error) {
 				buf = buf[:0]
 			}
 		}
-		if lease.record {
-			storeSnapshot(lease.snapKey, h, h.StopRecording())
-			lease.record = false
-		}
 	}
 
-	// The monitor attaches after warmup (setup-time page faulting is not
-	// something a runtime detector samples), so the counter trace is
-	// identical whether the warm state was replayed or rebuilt.
+	// The monitor attaches after warmup: setup-time page faulting is not
+	// something a runtime detector samples.
 	var mon *hier.Monitor
 	if cfg.CounterWindow > 0 {
 		mon = hier.NewMonitor(cfg.Machine.Cores, cfg.CounterWindow)

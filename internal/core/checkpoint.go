@@ -12,9 +12,9 @@
 // fingerprint, boundary). Later members fork from the deepest boundary at
 // or below their own length and simulate only the tail.
 //
-// Unlike the warmup memo (reuse.go), nothing is replayed: a fork is a deep
-// same-seed restore, so evictions, flushes, and noise during the prefix are
-// all legal. The legality rules are config-gated instead: chainEligible
+// A fork is a deep same-seed restore, so evictions, flushes, and noise
+// during the prefix are all legal. The legality rules are config-gated
+// instead: chainEligible
 // rejects configurations whose state lives outside the lifecycle (a
 // caller-supplied LLC policy, random fill, quotas) or outside the captured
 // agent set (counter monitors, caller-supplied patterns). Misses and

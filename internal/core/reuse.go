@@ -1,16 +1,13 @@
 // Simulator reuse (see DESIGN.md "State lifecycle"). Building a Hierarchy
-// allocates megabytes of tag/metadata arrays, and the default 1 MB warmup
-// walks 16K lines through it before a single payload bit moves; repeated
-// runs — sweeps, the bench harness, the experiment tables — used to pay both
-// on every repetition. Run now leases its simulator from a process-wide pool
-// keyed by configuration fingerprint (in-place Reset instead of rebuild) and
-// memoizes the post-warmup state per (fingerprint, warmup-spec): the first
-// run with a given spec records its warmup into a hier.WarmLog and parks a
-// clone; later runs copy the clone and replay the log under their own seed,
-// which is bit-for-bit identical to warming up from scratch (the golden
-// conformance suite and TestReuseEquivalence pin this). Configurations the
-// lifecycle cannot reproduce — a caller-supplied LLC policy, random-fill
-// defenses — bypass reuse entirely and behave exactly as before.
+// allocates megabytes of tag/metadata arrays; repeated runs — sweeps, the
+// bench harness, the experiment tables — used to pay that on every
+// repetition. Run now leases its simulator from a process-wide pool keyed
+// by configuration fingerprint and resets it in place instead of
+// rebuilding, which is bit-for-bit identical to a fresh build (the golden
+// conformance suite and TestReuseEquivalence pin this). Every run walks its
+// own warmup. Configurations the lifecycle cannot reproduce — a
+// caller-supplied LLC policy, random-fill defenses — bypass the pool
+// entirely and behave exactly as before.
 
 package core
 
@@ -30,9 +27,9 @@ import (
 // optimization with no observable effect on results.
 var reuseDisabled atomic.Bool
 
-// SetReuse enables or disables simulator pooling and warmup-snapshot reuse
-// process-wide and returns the previous setting. Reuse is enabled by
-// default; results are identical either way.
+// SetReuse enables or disables simulator pooling process-wide and returns
+// the previous setting. Pooling is enabled by default; results are
+// identical either way.
 func SetReuse(on bool) bool {
 	return !reuseDisabled.Swap(!on)
 }
@@ -60,11 +57,6 @@ func DropCheckpoints() {
 	chainReuse.memo = make(map[uint64]*Result)
 	chainReuse.memoBytes = 0
 }
-
-// maxSnapshots bounds the warm-state memo: each entry retains a full
-// hierarchy clone (megabytes), and real workloads cycle through a handful of
-// machine configurations, not hundreds.
-const maxSnapshots = 16
 
 // maxChainNodes bounds the checkpoint tree: each node retains a hierarchy
 // clone plus agent cursors (a few MB; the receiver's decoded prefix
@@ -194,25 +186,6 @@ func memoStore(key uint64, r *Result) {
 	chainReuse.memo[key] = cloneResult(r)
 }
 
-// warmSnapshot is the memoized post-warmup state for one (fingerprint,
-// warmup-spec): a hierarchy clone frozen right after the warmup walk, plus
-// the log that rebuilds its seed-dependent components for any other seed.
-type warmSnapshot struct {
-	h   *hier.Hierarchy
-	log *hier.WarmLog
-}
-
-var simReuse = struct {
-	mu       sync.Mutex
-	snaps    map[uint64]*warmSnapshot
-	building map[uint64]bool // a run is currently recording this key
-	noSnap   map[uint64]bool // recording failed or memo full: stop trying
-}{
-	snaps:    make(map[uint64]*warmSnapshot),
-	building: make(map[uint64]bool),
-	noSnap:   make(map[uint64]bool),
-}
-
 // simPool holds idle hierarchies by run fingerprint, at most a worker's
 // worth per configuration.
 var simPool = runner.NewPool[*hier.Hierarchy](8)
@@ -223,8 +196,6 @@ type simLease struct {
 	key      uint64 // pool key (run fingerprint)
 	poolable bool   // return h to the pool when the run finishes
 	warmed   bool   // h already carries the post-warmup state
-	record   bool   // this run must record its warmup to seed the memo
-	snapKey  uint64
 }
 
 func fnvBool(h uint64, b bool) uint64 {
@@ -275,33 +246,10 @@ func runFingerprint(cfg *Config, hopt *hier.Options) uint64 {
 	return h
 }
 
-// effectiveWarmup returns the byte count the warmup walk will actually
-// touch (Run clamps WarmupBytes to the array).
-func effectiveWarmup(cfg *Config) int {
-	w := cfg.WarmupBytes
-	if w > cfg.ArraySize {
-		w = cfg.ArraySize
-	}
-	if w < 0 {
-		w = 0
-	}
-	return w
-}
-
-// snapKey extends a run fingerprint with everything that determines the
-// warmup traffic: the walk's extent and the core that issues it (the shared
-// array always sits at the allocator's fixed base, so the addresses are a
-// function of these alone).
-func snapKey(runFp uint64, warmBytes, senderCore int) uint64 {
-	h := params.FNVUint(params.FNVOffset, runFp)
-	h = params.FNVUint(h, uint64(warmBytes))
-	return params.FNVUint(h, uint64(senderCore))
-}
-
-// acquireSim leases a hierarchy for one Run: from the warm-state memo when a
-// snapshot exists (warmup already applied), from the idle pool when one of
-// the right shape is free (reset in place), or freshly built. Configurations
-// outside the lifecycle get a plain hier.New and are never pooled.
+// acquireSim leases a hierarchy for one Run: from the idle pool when one of
+// the right shape is free (reset in place), or freshly built.
+// Configurations outside the lifecycle get a plain hier.New and are never
+// pooled.
 func acquireSim(cfg *Config, hopt hier.Options) (*simLease, error) {
 	poolable := !reuseDisabled.Load() && cfg.LLCPolicy == nil && cfg.RandomFillProb == 0 &&
 		cfg.Quota == nil
@@ -313,52 +261,6 @@ func acquireSim(cfg *Config, hopt hier.Options) (*simLease, error) {
 		return &simLease{h: h}, nil
 	}
 	key := runFingerprint(cfg, &hopt)
-	warm := effectiveWarmup(cfg)
-	if warm > 0 {
-		sk := snapKey(key, warm, cfg.SenderCore)
-		if lease := leaseFromSnapshot(cfg, key, sk); lease != nil {
-			return lease, nil
-		}
-		lease, err := leaseCold(cfg, hopt, key)
-		if err != nil {
-			return nil, err
-		}
-		lease.snapKey = sk
-		lease.record = claimSnapshotBuild(sk)
-		return lease, nil
-	}
-	return leaseCold(cfg, hopt, key)
-}
-
-// leaseFromSnapshot materializes a warmed hierarchy for cfg.Seed from the
-// memoized snapshot under sk, or returns nil when none is usable.
-func leaseFromSnapshot(cfg *Config, key, sk uint64) *simLease {
-	simReuse.mu.Lock()
-	snap := simReuse.snaps[sk]
-	simReuse.mu.Unlock()
-	if snap == nil {
-		return nil
-	}
-	var h *hier.Hierarchy
-	if pooled, ok := simPool.Get(key); ok {
-		pooled.CopyFrom(snap.h)
-		h = pooled
-	} else {
-		c, err := snap.h.Clone()
-		if err != nil {
-			return nil
-		}
-		h = c
-	}
-	if err := h.ReplayWarmup(cfg.Seed, snap.log); err != nil {
-		return nil
-	}
-	return &simLease{h: h, key: key, poolable: true, warmed: true}
-}
-
-// leaseCold returns an un-warmed hierarchy for cfg.Seed: a pooled one reset
-// in place when available, else a fresh build.
-func leaseCold(cfg *Config, hopt hier.Options, key uint64) (*simLease, error) {
 	if pooled, ok := simPool.Get(key); ok {
 		if err := pooled.Reset(cfg.Seed); err == nil {
 			return &simLease{h: pooled, key: key, poolable: true}, nil
@@ -392,54 +294,9 @@ func leaseForFork(cfg *Config, hopt *hier.Options, node *chainCheckpoint) *simLe
 	return &simLease{h: h, key: key, poolable: !reuseDisabled.Load(), warmed: true}
 }
 
-// claimSnapshotBuild reports whether the caller should record its warmup for
-// the memo: exactly one concurrent run per key records (the others warm up
-// normally and benefit on their next repetition), and keys that failed or
-// overflowed the memo are never claimed again.
-func claimSnapshotBuild(sk uint64) bool {
-	simReuse.mu.Lock()
-	defer simReuse.mu.Unlock()
-	if simReuse.noSnap[sk] || simReuse.building[sk] || simReuse.snaps[sk] != nil {
-		return false
-	}
-	if len(simReuse.snaps) >= maxSnapshots {
-		simReuse.noSnap[sk] = true
-		return false
-	}
-	simReuse.building[sk] = true
-	return true
-}
-
-// storeSnapshot parks the builder's post-warmup state (called right after
-// the warmup walk, before any agent runs). An aborted log — an LLC eviction
-// or flush during warmup, which replay cannot reproduce — permanently
-// disables the memo for this key.
-func storeSnapshot(sk uint64, h *hier.Hierarchy, log *hier.WarmLog) {
-	simReuse.mu.Lock()
-	defer simReuse.mu.Unlock()
-	delete(simReuse.building, sk)
-	if log == nil || log.Aborted() || len(simReuse.snaps) >= maxSnapshots {
-		simReuse.noSnap[sk] = true
-		return
-	}
-	c, err := h.Clone()
-	if err != nil {
-		simReuse.noSnap[sk] = true
-		return
-	}
-	simReuse.snaps[sk] = &warmSnapshot{h: c, log: log}
-}
-
 // releaseSim returns the lease's hierarchy to the idle pool. The state goes
 // back dirty: every checkout path resets or overwrites it before use.
 func releaseSim(lease *simLease) {
-	if lease.record {
-		// The builder bailed out before storing (an error path between
-		// warmup and completion): release the claim so a later run can try.
-		simReuse.mu.Lock()
-		delete(simReuse.building, lease.snapKey)
-		simReuse.mu.Unlock()
-	}
 	if lease.poolable {
 		simPool.Put(lease.key, lease.h)
 	}

@@ -8,11 +8,10 @@ import (
 	"streamline/internal/payload"
 )
 
-// TestReuseEquivalence pins the tentpole contract of the simulator pool and
-// warmup-snapshot memo: with reuse on, every repetition — the cold run that
-// records the warmup, the pooled run that resets in place, and the
-// snapshot-replay run under a fresh seed — returns a Result byte-identical
-// to a from-scratch build with reuse off.
+// TestReuseEquivalence pins the contract of the simulator pool: with reuse
+// on, every repetition — the cold run that builds a hierarchy, and the
+// pooled runs that reset it in place for the same or a fresh seed — returns
+// a Result byte-identical to a from-scratch build with reuse off.
 func TestReuseEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-repetition channel runs")
@@ -53,16 +52,16 @@ func TestReuseEquivalence(t *testing.T) {
 			}
 			refA := runWith(false, 1)
 			refB := runWith(false, 99)    // second seed, still from scratch
-			gotCold := runWith(true, 1)   // builds, records the warmup
-			gotSnap := runWith(true, 1)   // pool + snapshot replay, same seed
-			gotSeed := runWith(true, 99)  // snapshot replayed under a new seed
+			gotCold := runWith(true, 1)   // builds a fresh hierarchy
+			gotPool := runWith(true, 1)   // pooled Reset, same seed
+			gotSeed := runWith(true, 99)  // pooled Reset under a new seed
 			gotAgain := runWith(true, 99) // repetition after repetition
 			for i, pair := range []struct {
 				label    string
 				got, ref *Result
 			}{
 				{"cold", gotCold, refA},
-				{"snapshot", gotSnap, refA},
+				{"pooled", gotPool, refA},
 				{"reseeded", gotSeed, refB},
 				{"repeat", gotAgain, refB},
 			} {

@@ -28,6 +28,7 @@ package daemon
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -50,6 +51,14 @@ type jobRequest struct {
 	Full    bool   `json:"full"`
 	Workers int    `json:"workers"`
 }
+
+// maxBodyBytes caps a POST /jobs or /jobs/batch body; a real request is
+// well under a kilobyte.
+const maxBodyBytes = 1 << 20
+
+// maxRuns caps a job's repetitions at 20x the paper's five, so no request
+// can queue a job that cannot finish.
+const maxRuns = 100
 
 // batchRequest is the POST /jobs/batch body: one job running every listed
 // experiment through a single combined runner plan (experiments.RunBatch),
@@ -319,10 +328,39 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// decodeBody decodes a size-capped JSON request body into v. On failure it
+// writes the 413 or 400 response and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
+	} else {
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	}
+	return false
+}
+
+// validScale checks the runs and workers bounds every job shares. On
+// failure it writes the 400 response and returns false.
+func validScale(w http.ResponseWriter, runs, workers int) bool {
+	switch {
+	case runs < 0 || runs > maxRuns:
+		http.Error(w, fmt.Sprintf("runs %d outside [0, %d]", runs, maxRuns), http.StatusBadRequest)
+	case workers < 0:
+		http.Error(w, fmt.Sprintf("negative workers %d", workers), http.StatusBadRequest)
+	default:
+		return true
+	}
+	return false
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req jobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) || !validScale(w, req.Runs, req.Workers) {
 		return
 	}
 	if !experiments.Known(req.Exp) {
@@ -372,8 +410,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // once per point thanks to the store.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) || !validScale(w, req.Runs, req.Workers) {
 		return
 	}
 	if len(req.Exps) == 0 {

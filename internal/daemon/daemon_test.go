@@ -378,19 +378,48 @@ func TestResultEndpoint(t *testing.T) {
 	}
 }
 
+// TestDaemonRejectsBadRequests: unknown experiments, out-of-bounds runs or
+// workers (400) and oversized bodies (413) are refused on both submit
+// endpoints before anything is queued; a missing job is a 404.
 func TestDaemonRejectsBadRequests(t *testing.T) {
-	_, c := startServer(t, nil, 1, 1)
-
-	resp, err := http.Post(c.ts.URL+"/jobs", "application/json", strings.NewReader(`{"exp":"nope"}`))
-	if err != nil {
-		t.Fatal(err)
+	// A job that does get queued fails at once instead of simulating, so
+	// a server missing a bound fails this test rather than hanging it.
+	testHookJobStart = func(j *job) {
+		j.req.Exp = ""
+		if j.batch != nil {
+			j.batch = []string{""}
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown experiment: status %d, want 400", resp.StatusCode)
+	defer func() { testHookJobStart = nil }()
+	_, c := startServer(t, nil, 16, 1)
+
+	huge := `"` + strings.Repeat("a", maxBodyBytes) + `"`
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"unknown experiment", "/jobs", `{"exp":"nope"}`, http.StatusBadRequest},
+		{"huge runs", "/jobs", `{"exp":"fig10","runs":1000000000}`, http.StatusBadRequest},
+		{"runs over cap", "/jobs", `{"exp":"table1","quick":true,"runs":101}`, http.StatusBadRequest},
+		{"negative runs", "/jobs", `{"exp":"table1","quick":true,"runs":-1}`, http.StatusBadRequest},
+		{"negative workers", "/jobs", `{"exp":"table1","quick":true,"workers":-2}`, http.StatusBadRequest},
+		{"oversized body", "/jobs", `{"exp":` + huge + `}`, http.StatusRequestEntityTooLarge},
+		{"batch huge runs", "/jobs/batch", `{"exps":["fig10"],"runs":1000000000}`, http.StatusBadRequest},
+		{"batch negative runs", "/jobs/batch", `{"exps":["table1"],"runs":-1}`, http.StatusBadRequest},
+		{"batch negative workers", "/jobs/batch", `{"exps":["table1"],"workers":-1}`, http.StatusBadRequest},
+		{"batch oversized body", "/jobs/batch", `{"exps":[` + huge + `]}`, http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := http.Post(c.ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
 	}
 
-	resp, err = http.Get(c.ts.URL + "/jobs/job-999")
+	resp, err := http.Get(c.ts.URL + "/jobs/job-999")
 	if err != nil {
 		t.Fatal(err)
 	}

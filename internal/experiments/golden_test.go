@@ -69,8 +69,8 @@ func TestGoldenConformance(t *testing.T) {
 			if par := goldenOutput(t, id, 8); !bytes.Equal(par, want) {
 				t.Errorf("workers=8 output differs from the serial golden — parallel execution is not deterministic\n--- got ---\n%s--- want ---\n%s", par, want)
 			}
-			// Third axis: simulator pooling and warmup-snapshot reuse (on by
-			// default above) must be invisible in the output — a from-scratch
+			// Third axis: simulator pooling (on by default above) must be
+			// invisible in the output — a from-scratch
 			// build per run reproduces the same bytes.
 			prev := core.SetReuse(false)
 			noReuse := goldenOutput(t, id, 8)

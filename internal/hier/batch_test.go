@@ -11,10 +11,10 @@ import (
 	"streamline/internal/tlb"
 )
 
-// scalarBatch replays AccessBatch's documented scalar-equivalence contract
-// verbatim: the same addresses through Access one at a time, accumulating
-// under the same cost model. AccessBatch must be indistinguishable from
-// this loop in both its return value and every side effect on h.
+// scalarBatch is the reference AccessBatch is held to: the same addresses
+// through Access one at a time, accumulating under the BatchClock cost
+// model written out independently. AccessBatch must be indistinguishable
+// from this loop in both its return value and every side effect on h.
 func scalarBatch(h *Hierarchy, core int, addrs []mem.Addr, now uint64, clk BatchClock) BatchResult {
 	div := uint64(1)
 	if clk.Div > 1 {
@@ -89,8 +89,8 @@ func compareHier(t *testing.T, got, want *Hierarchy, ctx string) {
 }
 
 // traceChunk fills dst with the next chunk of a trace that deliberately
-// mixes the regimes the batch kernel treats differently: repeated-line L1
-// hit runs (the short-circuit), sequential line walks that train the
+// mixes the regimes the hierarchy serves differently: repeated-line L1
+// hit runs, sequential line walks that train the
 // next-line and stream prefetchers, strided page-crossing walks that train
 // the stride prefetcher across 4 KB boundaries, and uniform-random lines
 // that miss every level.
@@ -133,12 +133,11 @@ func traceChunk(r *rng.Xoshiro, dst []mem.Addr, span uint64) {
 	}
 }
 
-// TestAccessBatchMatchesScalar is the batch kernel's referee: on every
-// machine model and LLC policy, driving one hierarchy with AccessBatch and
-// a twin with the scalar contract loop must produce identical results and
+// TestAccessBatchMatchesScalar is AccessBatch's referee: on every machine
+// model and LLC policy, driving one hierarchy with AccessBatch and a twin
+// with the scalar contract loop must produce identical results and
 // identical machine state, across all BatchClock modes, multiple cores, and
-// traces long enough (>= 1M accesses per machine in full mode) to cycle
-// every cache level, prefetcher table, and DRAM bank many times over.
+// traceChunk's mixed traces.
 func TestAccessBatchMatchesScalar(t *testing.T) {
 	machines := []struct {
 		name string
@@ -167,7 +166,7 @@ func TestAccessBatchMatchesScalar(t *testing.T) {
 		{"hold", BatchClock{Hold: true, Extra: 4}},
 	}
 	const span = 1 << 26 // 64 MB of simulated addresses
-	chunks := 48         // x ~86 addrs avg per (chunk, clock) => ~1.2M per machine
+	chunks := 48         // x 3 clocks x ~128 addrs avg => ~18K accesses per input
 	if testing.Short() {
 		chunks = 8
 	}
@@ -202,9 +201,8 @@ func TestAccessBatchMatchesScalar(t *testing.T) {
 }
 
 // TestAccessBatchMatchesScalarGeneralPath pins the equivalence on the
-// configurations that disable the fast path — partitioned LLCs, a TLB
-// model, and random fill — where AccessBatch must degrade to the scalar
-// general path access for access.
+// configurations whose accesses take Access's general path — partitioned
+// LLCs, a TLB model, and random fill — under randomly drawn BatchClocks.
 func TestAccessBatchMatchesScalarGeneralPath(t *testing.T) {
 	configs := []struct {
 		name string
@@ -242,8 +240,8 @@ func TestAccessBatchMatchesScalarGeneralPath(t *testing.T) {
 	}
 }
 
-// TestAccessBatchZeroAllocs pins the batch kernel's allocation-free
-// contract on both the fast and the general configuration.
+// TestAccessBatchZeroAllocs pins AccessBatch's allocation-free contract on
+// both the fast and the general configuration.
 func TestAccessBatchZeroAllocs(t *testing.T) {
 	for _, cfg := range []struct {
 		name string

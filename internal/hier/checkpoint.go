@@ -1,14 +1,10 @@
 // Mid-run checkpoints (see DESIGN.md "Snapshot tree & work stealing").
-// A Checkpoint generalizes the warmup-only snapshot of warmlog.go: instead
-// of replaying logged events under a new seed, it freezes the complete
-// hierarchy state — cache tags, policy metadata, prefetcher training, DRAM
-// timing, directory — via the universal Clone/CopyFrom lifecycle, so a
-// later run with the *same* seed can resume from the frozen point exactly.
-// Because nothing is replayed, the WarmLog legality rules (no evictions, no
-// flushes, no random fill during recording) do not apply here; the only
-// things a checkpoint cannot carry are external attachments that the
-// lifecycle deliberately leaves out (a WarmLog recorder, a counter
-// monitor).
+// A Checkpoint freezes the complete hierarchy state — cache tags, policy
+// metadata, prefetcher training, DRAM timing, directory — via the universal
+// Clone/CopyFrom lifecycle, so a later run with the *same* seed can resume
+// from the frozen point exactly. The only thing a checkpoint cannot carry
+// is the external attachment the lifecycle deliberately leaves out (a
+// counter monitor).
 
 package hier
 
@@ -21,14 +17,11 @@ type Checkpoint struct {
 	h *Hierarchy
 }
 
-// TakeCheckpoint captures the hierarchy's complete state. It refuses
-// hierarchies with external attachments the lifecycle does not carry — a
-// WarmLog recording in progress or an attached Monitor — because a fork
-// restored without them would diverge from the run that took the snapshot.
+// TakeCheckpoint captures the hierarchy's complete state. It refuses a
+// hierarchy with an attached Monitor, the one external attachment the
+// lifecycle does not carry, because a fork restored without it would
+// diverge from the run that took the snapshot.
 func (h *Hierarchy) TakeCheckpoint() (*Checkpoint, error) {
-	if h.rec != nil {
-		return nil, fmt.Errorf("hier: cannot checkpoint while a warm log is recording")
-	}
 	if h.mon != nil {
 		return nil, fmt.Errorf("hier: cannot checkpoint with a monitor attached (Clone drops instrumentation)")
 	}

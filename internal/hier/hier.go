@@ -108,11 +108,6 @@ type Hierarchy struct {
 	// them. opt.Seed tracks the most recent Reset.
 	opt Options
 
-	// rec, when non-nil, passively records the seed-dependent side effects
-	// of the current traffic (LLC policy events and DRAM accesses) for the
-	// warmup-snapshot cache; see warmlog.go. Nil during normal runs.
-	rec *WarmLog //detlint:lifecycle-skip external recorder attachment; Clone and CopyFrom deliberately leave it alone
-
 	l1 []*cache.Cache
 	l2 []*cache.Cache
 	// llcs holds one cache per trust domain; unpartitioned systems have a
@@ -377,21 +372,14 @@ func (h *Hierarchy) accessFast(core int, a mem.Addr, now uint64) AccessResult {
 	}
 	// L1 miss: the L1 lookup above already installed the line, and the L2
 	// lookup below installs it there on a miss, so the only explicit fill
-	// left is the trailing L1 touch on each path (normally a hint-served
-	// hit; a re-fill only when a prefetch back-invalidated the line
-	// mid-access). The touch goes through the inlinable HintHit pair:
-	// the install above left the hint pointing at the line, so the slow
-	// Access call happens only in the back-invalidation case. Private
+	// left is the trailing L1 touch on each path (normally a hit; a re-fill
+	// only when a prefetch back-invalidated the line mid-access). Private
 	// evictions are silent: lines are clean and the LLC is inclusive.
 	l2hit := h.l2[core].Access(line).Hit
 	evictedSelf := h.prefetchAfterFast(core, a, line)
 	if l2hit {
 		h.count(core, L2)
-		if l1.HintHit(line) {
-			l1.OnHintHit(line)
-		} else {
-			l1.Access(line)
-		}
+		l1.Access(line)
 		if evictedSelf {
 			// The prefetch above evicted this very line from the LLC, so
 			// the L1 copy the line above just touched (or re-installed) is
@@ -403,18 +391,10 @@ func (h *Hierarchy) accessFast(core int, a mem.Addr, now uint64) AccessResult {
 	}
 	llc := h.llcs[0]
 	llcRes := llc.Access(line) // installs on miss
-	if h.rec != nil {
-		//detlint:allow hotpathalloc -- warmup recording is opt-in instrumentation, nil on measured runs
-		h.rec.llcAccess(0, llc.SetOf(line), llcRes)
-	}
 	idx := llc.SetOf(line)*h.dirWays + llcRes.Way
 	if llcRes.Hit {
 		h.dir[idx] |= 1 << uint(core)
-		if l1.HintHit(line) {
-			l1.OnHintHit(line)
-		} else {
-			l1.Access(line)
-		}
+		l1.Access(line)
 		h.count(core, LLC)
 		return AccessResult{Latency: lat.LLCHit, Level: LLC}
 	}
@@ -422,17 +402,9 @@ func (h *Hierarchy) accessFast(core int, a mem.Addr, now uint64) AccessResult {
 		h.backInvalidateMask(h.dir[idx], llcRes.Evicted)
 	}
 	h.dir[idx] = h.takeOrphans(line) | 1<<uint(core)
-	if l1.HintHit(line) {
-		l1.OnHintHit(line)
-	} else {
-		l1.Access(line)
-	}
+	l1.Access(line)
 	// Full miss: the line was fetched from DRAM (and filled above).
 	h.count(core, DRAM)
-	if h.rec != nil {
-		//detlint:allow hotpathalloc -- warmup recording is opt-in instrumentation, nil on measured runs
-		h.rec.dram(now, a)
-	}
 	return AccessResult{Latency: h.dram.Latency(now, a), Level: DRAM}
 }
 
@@ -521,10 +493,6 @@ func (h *Hierarchy) accessGeneral(core int, a mem.Addr, now uint64) AccessResult
 		return AccessResult{Latency: h.dram.Latency(now, a) + tlbPenalty, Level: DRAM}
 	}
 	llcRes := llc.Access(line) // installs on miss
-	if h.rec != nil {
-		//detlint:allow hotpathalloc -- warmup recording is opt-in instrumentation, nil on measured runs
-		h.rec.llcAccess(uint8(h.domains[core]), llc.SetOf(line), llcRes)
-	}
 	if llcRes.DidEvict {
 		h.backInvalidate(h.domains[core], llcRes.Evicted)
 	}
@@ -535,10 +503,6 @@ func (h *Hierarchy) accessGeneral(core int, a mem.Addr, now uint64) AccessResult
 	}
 	// Full miss: the line was fetched from DRAM (and filled above).
 	h.count(core, DRAM)
-	if h.rec != nil {
-		//detlint:allow hotpathalloc -- warmup recording is opt-in instrumentation, nil on measured runs
-		h.rec.dram(now, a)
-	}
 	return AccessResult{Latency: h.dram.Latency(now, a) + tlbPenalty, Level: DRAM}
 }
 
@@ -608,10 +572,6 @@ func (h *Hierarchy) prefetchAfter(core int, a mem.Addr) {
 		} else {
 			r = llc.InstallPrefetch(pl)
 		}
-		if h.rec != nil {
-			//detlint:allow hotpathalloc -- warmup recording is opt-in instrumentation, nil on measured runs
-			h.rec.llcPrefetch(uint8(h.domains[core]), llc.SetOf(pl), r)
-		}
 		if r.DidEvict {
 			if h.quota != nil {
 				h.backInvalidateAll(r.Evicted)
@@ -638,10 +598,6 @@ func (h *Hierarchy) prefetchAfterFast(core int, a mem.Addr, line mem.Line) (evic
 	for _, pa := range h.pfBuf {
 		pl := h.geom.LineOf(pa)
 		r := llc.InstallPrefetch(pl)
-		if h.rec != nil {
-			//detlint:allow hotpathalloc -- warmup recording is opt-in instrumentation, nil on measured runs
-			h.rec.llcPrefetch(0, llc.SetOf(pl), r)
-		}
 		idx := llc.SetOf(pl)*h.dirWays + r.Way
 		if r.Hit {
 			// Already resident: the L2 install below still gives this core
@@ -668,12 +624,6 @@ func (h *Hierarchy) prefetchAfterFast(core int, a mem.Addr, line mem.Line) (evic
 //detlint:hotpath
 func (h *Hierarchy) Flush(core int, a mem.Addr) (latency int, wasCached bool) {
 	h.checkCore(core)
-	if h.rec != nil {
-		// Flushes change LLC policy state in victim-dependent ways the warm
-		// log cannot re-feed; no warmup flushes, so just abort.
-		//detlint:allow hotpathalloc -- warmup recording is opt-in instrumentation, nil on measured runs
-		h.rec.abort()
-	}
 	line := h.geom.LineOf(a)
 	for c := range h.l1 {
 		if h.l1[c].Invalidate(line) {

@@ -17,8 +17,8 @@ import (
 	"streamline/internal/prefetch"
 )
 
-// The per-component seed derivations used by New, shared with Reset and
-// ReplayWarmup so an in-place reseed reproduces construction exactly.
+// The per-component seed derivations used by New, shared with Reset so an
+// in-place reseed reproduces construction exactly.
 const (
 	llcSeedXor  = 0x11c
 	dramSeedXor = 0xd7a3
@@ -37,7 +37,6 @@ func (h *Hierarchy) Reset(seed uint64) error {
 	if h.opt.LLCPolicy != nil {
 		return fmt.Errorf("hier: Reset cannot re-derive the caller-supplied LLC policy %s", h.opt.LLCPolicy.Name())
 	}
-	h.rec = nil
 	h.mon = nil // external instrumentation: a fresh hierarchy has none
 	if h.quota != nil {
 		h.quota.reset()

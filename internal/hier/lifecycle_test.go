@@ -169,50 +169,11 @@ func TestHierarchyResetRefusesForeignPolicy(t *testing.T) {
 	}
 }
 
-// TestReplayWarmupEqualsFreshWarmup pins the warmup-snapshot contract: for a
-// seed never seen by the recorder, Clone + ReplayWarmup reproduces a freshly
-// built, freshly warmed hierarchy exactly.
-func TestReplayWarmupEqualsFreshWarmup(t *testing.T) {
-	warmup := func(h *Hierarchy) {
-		// A 1 MB sequential walk from core 0 at time zero, the shape Run's
-		// setup-time page faulting produces.
-		for off := 0; off < 1<<20; off += 64 {
-			h.Access(0, mem.Addr(4096+off), 0)
-		}
-	}
-	builder, err := New(params.SkylakeE3(), Options{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	builder.StartRecording()
-	warmup(builder)
-	log := builder.StopRecording()
-	if log.Aborted() {
-		t.Fatal("default-shape warmup aborted the recording")
-	}
-
-	for _, seed := range []uint64{7, 99, 0xdeadbeef} {
-		replayed, err := builder.Clone()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := replayed.ReplayWarmup(seed, log); err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := New(params.SkylakeE3(), Options{Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		warmup(fresh)
-		requireSameHier(t, replayed, fresh, 555, 30000)
-	}
-}
-
 // TestHierarchyFieldAudit fails when Hierarchy gains a field the lifecycle
 // methods in lifecycle.go do not handle.
 func TestHierarchyFieldAudit(t *testing.T) {
 	statetest.Fields(t, Hierarchy{},
-		"mach", "geom", "opt", "rec", "l1", "l2", "llcs", "domains", "dram",
+		"mach", "geom", "opt", "l1", "l2", "llcs", "domains", "dram",
 		"pf", "tlbs", "fillRnd", "fillP", "quota", "mon", "pfBuf", "fast",
 		"dir", "dirWays", "orphans", "Served", "ServedPerCore", "SkippedFills")
 	statetest.Fields(t, quotaMgr{},

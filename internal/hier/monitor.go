@@ -11,8 +11,8 @@ package hier
 // byte-identical across worker counts and pooling modes.
 //
 // A Monitor is external instrumentation, not simulation state: it is
-// attached to a Hierarchy after construction (and after any warmup, so
-// pooled warm-snapshot runs and cold runs observe the same traffic), feeds
+// attached to a Hierarchy after construction (and after any warmup, which
+// a runtime detector does not sample), feeds
 // only on served accesses, and never influences an access's outcome. The
 // inertness test in internal/core pins that guarantee.
 

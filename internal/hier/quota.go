@@ -192,12 +192,6 @@ func (m *quotaMgr) rebalance() bool {
 //
 //detlint:hotpath
 func (h *Hierarchy) accessQuota(core int, llc *cache.Cache, line mem.Line, a mem.Addr, now uint64, tlbPenalty int) AccessResult {
-	if h.rec != nil {
-		// The warm log cannot re-feed ownership transfers; quota
-		// configurations are never pooled, so recording just aborts.
-		//detlint:allow hotpathalloc -- warmup recording is opt-in instrumentation, nil on measured runs
-		h.rec.abort()
-	}
 	dom := uint8(h.domains[core])
 	llcRes, _ := llc.AccessOwned(line, dom, h.quota.cfg.CopyOnAccess)
 	if h.quota.noteLookup(int(dom), !llcRes.Hit) {

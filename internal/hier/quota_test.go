@@ -146,8 +146,8 @@ func TestQuotaBoundsVictimDomain(t *testing.T) {
 	}
 }
 
-// TestMonitorBatchMatchesScalar pins the monitor hook placement in the
-// batch kernel: identical traffic issued through Access and AccessBatch
+// TestMonitorBatchMatchesScalar pins the monitor hook placement under
+// AccessBatch: identical traffic sent through Access and AccessBatch
 // produces byte-identical counter windows.
 func TestMonitorBatchMatchesScalar(t *testing.T) {
 	build := func() *Hierarchy {

@@ -108,7 +108,7 @@ func (w *Workload) Step(now uint64) (uint64, bool) {
 		return cost, false
 	}
 	// Every other shape generates its batch of addresses up front and runs
-	// them through the batch kernel in one call, issued at the step's own
+	// them through AccessBatch in one call, all at the step's own
 	// timestamp (BatchClock.Hold).
 	if cap(w.buf) < batch {
 		w.buf = make([]mem.Addr, batch)

@@ -33,26 +33,11 @@ type Pattern interface {
 	Offset(i uint64, arrSize int) int
 }
 
-// Chunker is implemented by patterns that can generate a run of addresses
-// in one call. The agents' hot loops consume addresses through chunk
-// buffers (one FillAddrs call per buffer) instead of one interface-
-// dispatched Offset call per bit; the stock patterns implement it with the
-// per-bit math inlined into a straight-line loop.
-type Chunker interface {
-	// FillAddrs writes the addresses of bits start..start+len(dst)-1 —
-	// base plus Offset(i, arrSize) — into dst.
-	FillAddrs(dst []mem.Addr, base mem.Addr, start uint64, arrSize int)
-}
-
 // FillAddrs fills dst with the addresses of bits start..start+len(dst)-1
-// of pattern p over an array of arrSize bytes based at base. Patterns
-// implementing Chunker generate the chunk in one call; any other pattern
-// falls back to per-bit Offset calls with identical results.
+// of pattern p over an array of arrSize bytes based at base: base plus
+// Offset(i, arrSize) for each bit i. The agents' hot loops consume
+// addresses through chunk buffers filled here.
 func FillAddrs(p Pattern, dst []mem.Addr, base mem.Addr, start uint64, arrSize int) {
-	if c, ok := p.(Chunker); ok {
-		c.FillAddrs(dst, base, start, arrSize)
-		return
-	}
 	for j := range dst {
 		dst[j] = base + mem.Addr(p.Offset(start+uint64(j), arrSize))
 	}
@@ -123,35 +108,6 @@ func (p *XY) Offset(i uint64, arrSize int) int {
 	return int(off % uint64(arrSize))
 }
 
-// FillAddrs implements Chunker: Equations (1)-(3) with the per-bit shift
-// math inlined into one loop, so a chunk of addresses costs one call. The
-// all-powers-of-two case (the paper's y=2 over a power-of-two array) is
-// fully branch-free per bit; everything else falls back to Offset, whose
-// results this must match bit for bit (pinned by TestFillAddrsMatchesOffset).
-func (p *XY) FillAddrs(dst []mem.Addr, base mem.Addr, start uint64, arrSize int) {
-	sz := uint64(arrSize)
-	if p.yShift < 0 || sz&(sz-1) != 0 {
-		for j := range dst {
-			dst[j] = base + mem.Addr(p.Offset(start+uint64(j), arrSize))
-		}
-		return
-	}
-	x, y := uint64(p.X), uint64(p.Y)
-	totShift := p.lppShift + uint(p.yShift)
-	yShift := uint(p.yShift)
-	yMask := y - 1
-	lppMask := uint64(p.geom.LinesPerPage()) - 1
-	szMask := sz - 1
-	st := uint64(p.Start)
-	pageB, lineB := uint64(p.geom.PageBytes), uint64(p.geom.LineBytes)
-	for j := range dst {
-		i := start + uint64(j)
-		pg := y*((x*i)>>totShift) + i&yMask
-		cl := (st + x*(i>>yShift)) & lppMask
-		dst[j] = base + mem.Addr((pg*pageB+cl*lineB)&szMask)
-	}
-}
-
 // LapBits returns how many bits the pattern transmits before its offsets
 // wrap around an array of arrSize bytes (i.e. before Pg-num leaves the
 // array). This is the thrashing period central to Table 4.
@@ -197,16 +153,6 @@ func (p *NaivePerPage) Offset(i uint64, arrSize int) int {
 	return int(off % uint64(arrSize))
 }
 
-// FillAddrs implements Chunker.
-func (p *NaivePerPage) FillAddrs(dst []mem.Addr, base mem.Addr, start uint64, arrSize int) {
-	pageB := uint64(p.geom.PageBytes)
-	lineOff := uint64(p.Line * p.geom.LineBytes)
-	sz := uint64(arrSize)
-	for j := range dst {
-		dst[j] = base + mem.Addr(((start+uint64(j))*pageB+lineOff)%sz)
-	}
-}
-
 // Sequential accesses consecutive cache lines; maximal set coverage but
 // fully predictable by even a next-line prefetcher.
 type Sequential struct {
@@ -222,15 +168,6 @@ func (p *Sequential) Name() string { return "sequential" }
 // Offset implements Pattern.
 func (p *Sequential) Offset(i uint64, arrSize int) int {
 	return int(i * uint64(p.geom.LineBytes) % uint64(arrSize))
-}
-
-// FillAddrs implements Chunker.
-func (p *Sequential) FillAddrs(dst []mem.Addr, base mem.Addr, start uint64, arrSize int) {
-	lineB := uint64(p.geom.LineBytes)
-	sz := uint64(arrSize)
-	for j := range dst {
-		dst[j] = base + mem.Addr((start+uint64(j))*lineB%sz)
-	}
 }
 
 // Coverage summarizes how a pattern maps onto an LLC in one lap.

@@ -221,50 +221,8 @@ func BenchmarkStreamlineOffset(b *testing.B) {
 	}
 }
 
-// TestFillAddrsMatchesOffset pins every chunked generator — and the
-// package-level fallback for patterns without one — to per-bit Offset:
-// FillAddrs must produce base+Offset(i, arrSize) for every i, at arbitrary
-// chunk starts, for power-of-two and non-power-of-two y and array sizes.
-func TestFillAddrsMatchesOffset(t *testing.T) {
-	geom := g(t)
-	pats := []Pattern{
-		NewStreamline(geom),   // y=2: branch-free chunk loop
-		NewXY(geom, 5, 4, 9),  // another pow2 y
-		NewXY(geom, 3, 3, 14), // y=3: Offset fallback inside XY.FillAddrs
-		NewXY(geom, 7, 1, 0),  // degenerate y=1
-		NewNaivePerPage(geom),
-		NewSequential(geom),
-		offsetOnly{NewStreamline(geom)}, // no Chunker: package fallback
-	}
-	sizes := []int{64 << 20, 1 << 16, 3 * 4096} // pow2 and non-pow2 arrays
-	starts := []uint64{0, 1, 127, 128, 1 << 20, 1<<32 + 13}
-	buf := make([]mem.Addr, 300)
-	const base = mem.Addr(1 << 30)
-	for _, p := range pats {
-		for _, sz := range sizes {
-			for _, start := range starts {
-				FillAddrs(p, buf, base, start, sz)
-				for j, got := range buf {
-					want := base + mem.Addr(p.Offset(start+uint64(j), sz))
-					if got != want {
-						t.Fatalf("%s sz=%d start=%d bit %d: FillAddrs %d, Offset %d",
-							p.Name(), sz, start, j, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-// offsetOnly hides a pattern's Chunker implementation so the test exercises
-// the package-level per-bit fallback.
-type offsetOnly struct{ p Pattern }
-
-func (o offsetOnly) Name() string                { return "offset-only(" + o.p.Name() + ")" }
-func (o offsetOnly) Offset(i uint64, sz int) int { return o.p.Offset(i, sz) }
-
-// TestFillAddrsZeroAllocs pins the chunk generators as allocation-free: the
-// agents refill their address buffers from the per-bit hot loop.
+// TestFillAddrsZeroAllocs pins FillAddrs as allocation-free: the agents
+// refill their address buffers from the per-bit hot loop.
 func TestFillAddrsZeroAllocs(t *testing.T) {
 	geom := g(t)
 	p := NewStreamline(geom)
